@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Backend scaling benchmark: sequential vs legacy pool vs resident pool.
+"""Backend scaling benchmark: sequential backend vs resident process pool.
 
 Measures, for each backend and federation size, steady-state round
 throughput (rounds/s) and process-boundary traffic (pickled bytes/round)
@@ -8,6 +8,9 @@ one-time costs — worker start, recipe installation, CVAE training, first
 decoder shipment — so the timed rounds reflect the recurring per-round
 cost the backends actually differ on.
 
+The pool's IPC byte ceiling is a tier-1 test
+(``tests/fl/test_resident_backend.py``), not a gate here.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_backend_scaling.py           # full
@@ -15,10 +18,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_backend_scaling.py --smoke --check
 
 ``--check`` enforces the performance floor (CI): the resident pool must
-not fall behind the sequential backend at the smallest size. The
-wall-clock half of the gate needs real parallel hardware — on a
-single-core host only the byte reduction is enforced (process overhead
-cannot be amortized across cores that do not exist).
+not fall behind the sequential backend at the smallest size. The gate
+needs real parallel hardware, so it is skipped on a single-core host
+(process overhead cannot be amortized across cores that do not exist).
 
 Output: a JSON report (default ``benchmarks/out/BENCH_backend.json``;
 ``--smoke`` writes ``BENCH_backend_smoke.json`` so the checked-in
@@ -39,7 +41,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro.config import FederationConfig  # noqa: E402
 from repro.defenses import FedGuard  # noqa: E402
 from repro.fl import (  # noqa: E402
-    LegacyProcessPoolBackend,
     ProcessPoolBackend,
     SequentialBackend,
     build_federation,
@@ -68,10 +69,6 @@ def bench_config(n_clients: int) -> FederationConfig:
 def _make_backend(kind: str):
     if kind == "sequential":
         return SequentialBackend()
-    if kind == "process_legacy":
-        # measure_ipc doubles serialization work; bytes are measured in a
-        # separate pass so the timing here stays honest.
-        return LegacyProcessPoolBackend()
     return ProcessPoolBackend()
 
 
@@ -94,19 +91,6 @@ def bench_cell(kind: str, n_clients: int, timed_rounds: int) -> dict:
         ipc_bytes = (backend.ipc_stats.total_nbytes - before) / timed_rounds
     finally:
         backend.close()
-
-    if kind == "process_legacy":
-        # Byte-measuring pass: same shape, counting enabled, one round.
-        backend = LegacyProcessPoolBackend(measure_ipc=True)
-        try:
-            server = build_federation(config, FedGuard(), backend=backend)
-            _run_rounds(server, 1, 1)
-            before = backend.ipc_stats.total_nbytes
-            _run_rounds(server, 2, 1)
-            ipc_bytes = float(backend.ipc_stats.total_nbytes - before)
-        finally:
-            backend.close()
-
     return {
         "backend": kind,
         "n_clients": n_clients,
@@ -130,14 +114,6 @@ def check_floor(results: list[dict], size: int) -> list[str]:
     failures: list[str] = []
     resident = _cell(results, "process", size)
     sequential = _cell(results, "sequential", size)
-    legacy = _cell(results, "process_legacy", size)
-    if resident and legacy:
-        ratio = legacy["ipc_bytes_per_round"] / max(resident["ipc_bytes_per_round"], 1.0)
-        if ratio < 3.0:
-            failures.append(
-                f"resident pool must move >=3x fewer pickled bytes/round than "
-                f"the legacy pool at {size} clients; got {ratio:.2f}x"
-            )
     if resident and sequential:
         if (os.cpu_count() or 1) >= 2:
             if resident["rounds_per_s"] < sequential["rounds_per_s"]:
@@ -149,7 +125,7 @@ def check_floor(results: list[dict], size: int) -> list[str]:
         else:
             print(
                 "note: single-core host — resident-vs-sequential wall-clock "
-                "gate skipped (only the byte floor is enforced)"
+                "gate skipped"
             )
     return failures
 
@@ -176,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
 
     results = []
     for n in sizes:
-        for kind in ("sequential", "process_legacy", "process"):
+        for kind in ("sequential", "process"):
             cell = bench_cell(kind, n, timed_rounds)
             results.append(cell)
             print(
@@ -184,18 +160,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"{cell['ipc_bytes_per_round'] / 1024:10.1f} KiB/round"
             )
 
-    derived = {}
-    for n in sizes:
-        resident = _cell(results, "process", n)
-        legacy = _cell(results, "process_legacy", n)
-        if resident and legacy:
-            derived[f"legacy_over_resident_bytes_x_{n}"] = (
-                legacy["ipc_bytes_per_round"]
-                / max(resident["ipc_bytes_per_round"], 1.0)
-            )
-            derived[f"resident_over_legacy_throughput_x_{n}"] = (
-                resident["rounds_per_s"] / legacy["rounds_per_s"]
-            )
+    derived = {
+        f"resident_over_sequential_throughput_x_{n}": (
+            _cell(results, "process", n)["rounds_per_s"]
+            / _cell(results, "sequential", n)["rounds_per_s"]
+        )
+        for n in sizes
+    }
 
     report = {
         "meta": {

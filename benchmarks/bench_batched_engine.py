@@ -45,7 +45,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro.attacks import AttackScenario  # noqa: E402
 from repro.config import FederationConfig, ModelConfig  # noqa: E402
 from repro.defenses import FedAvg  # noqa: E402
-from repro.fl import build_federation  # noqa: E402
+from repro.experiments.storage import normalized_history_dict  # noqa: E402
+from repro.fl import History, build_federation  # noqa: E402
 
 OUT_DIR = pathlib.Path(__file__).resolve().parent / "out"
 
@@ -76,23 +77,6 @@ def bench_config(engine: str, n_clients: int) -> FederationConfig:
     )
 
 
-def _normalized_rounds(records) -> list[dict]:
-    """Round records minus wall-clock fields (the only engine-visible delta)."""
-    out = []
-    for r in records:
-        out.append({
-            "round": r.round_idx,
-            "accuracy": r.accuracy,
-            "accepted_ids": list(r.accepted_ids),
-            "rejected_ids": list(r.rejected_ids),
-            "selected_ids": list(r.selected_ids),
-            "metrics": {
-                k: v for k, v in r.metrics.items() if not k.endswith("_s")
-            },
-        })
-    return out
-
-
 def bench_cell(
     engine: str, n_clients: int, timed_rounds: int, repeats: int
 ) -> dict:
@@ -101,13 +85,14 @@ def bench_cell(
     server = build_federation(
         config, FedAvg(), AttackScenario.label_flipping(0.3)
     )
-    records = [server.run_round(1)]  # warmup: first-touch allocs, shell build
+    history = History("fedavg", "label_flipping_30")
+    history.append(server.run_round(1))  # warmup: first-touch allocs, shell build
     round_idx = 2
     block_s = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         for _ in range(timed_rounds):
-            records.append(server.run_round(round_idx))
+            history.append(server.run_round(round_idx))
             round_idx += 1
         block_s.append(time.perf_counter() - t0)
     wall_s = min(block_s)
@@ -119,7 +104,7 @@ def bench_cell(
         "repeats": repeats,
         "wall_s_per_round": wall_s / timed_rounds,
         "rounds_per_s": timed_rounds / wall_s,
-        "_rounds": _normalized_rounds(records),
+        "_rounds": normalized_history_dict(history)["rounds"],
     }
 
 

@@ -78,8 +78,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         help="enable the server-side decoder wire cache "
                              "(a client's θ_j crosses the channel once; later "
                              "uploads send an 8-byte reference)")
-    parser.add_argument("--backend", choices=["sequential", "process",
-                                              "process_legacy"],
+    parser.add_argument("--backend", choices=["sequential", "process"],
                         default=None,
                         help="client execution backend (default: sequential; "
                              "'process' = worker-resident pool)")

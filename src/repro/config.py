@@ -122,7 +122,7 @@ class FederationConfig:
 
     # execution backend (repro.fl.parallel; a pure throughput knob — results
     # are identical across backends)
-    backend: str = "sequential"         # "sequential" | "process" | "process_legacy"
+    backend: str = "sequential"         # "sequential" | "process"
     backend_workers: int = 0            # worker processes (0 = cpu count)
 
     # local-training engine (repro.fl.batched; "batched" stacks all sampled
@@ -201,10 +201,10 @@ class FederationConfig:
                 f"population_resident_cap must be >= 0, "
                 f"got {self.population_resident_cap}"
             )
-        if self.backend not in ("sequential", "process", "process_legacy"):
+        if self.backend not in ("sequential", "process"):
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
-                f"expected one of ('sequential', 'process', 'process_legacy')"
+                "expected one of ('sequential', 'process')"
             )
         if self.backend_workers < 0:
             raise ValueError(

@@ -21,7 +21,8 @@ import pickle
 
 from ..fl.history import History, RoundRecord
 
-__all__ = ["history_to_dict", "history_from_dict", "save_history", "load_history",
+__all__ = ["history_to_dict", "normalized_history_dict", "history_from_dict",
+           "save_history", "load_history",
            "save_matrix", "load_matrix", "save_manifest", "load_manifest",
            "save_checkpoint", "load_checkpoint"]
 
@@ -54,6 +55,26 @@ def history_to_dict(history: History) -> dict:
             for r in history.rounds
         ],
     }
+
+
+def normalized_history_dict(history: History | dict) -> dict:
+    """A history dict minus its wall-clock fields, for equality checks.
+
+    Drops each round's ``duration_s`` and every metric whose key ends in
+    ``_s`` (host-measured times such as ``aggregation_time_s``); every
+    other field must match byte for byte between runs that claim to be
+    equivalent. Accepts a :class:`History` or a :func:`history_to_dict`
+    result and never mutates its input.
+    """
+    data = history_to_dict(history) if isinstance(history, History) else history
+    rounds = []
+    for r in data["rounds"]:
+        r = {k: v for k, v in r.items() if k != "duration_s"}
+        r["metrics"] = {
+            k: v for k, v in r.get("metrics", {}).items() if not k.endswith("_s")
+        }
+        rounds.append(r)
+    return {**data, "rounds": rounds}
 
 
 def _jsonable(metrics: dict) -> dict:

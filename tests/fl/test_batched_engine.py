@@ -18,7 +18,7 @@ from repro.experiments.scenarios import (
     STRATEGY_FACTORIES,
     make_scenario,
 )
-from repro.experiments.storage import history_to_dict
+from repro.experiments.storage import normalized_history_dict
 from repro.fl.batched import (
     BatchedEngine,
     LoopEngine,
@@ -32,21 +32,12 @@ from repro import nn
 
 def normalized(history, drop_metrics=()):
     """History dict minus wall-clock noise (and any explicitly dropped metrics)."""
-    data = history_to_dict(history)
-    rounds = []
+    data = normalized_history_dict(history)
     for r in data["rounds"]:
-        r = {k: v for k, v in r.items() if k != "duration_s"}
         r["metrics"] = {
-            k: v
-            for k, v in r["metrics"].items()
-            if not k.endswith("_s") and k not in drop_metrics
+            k: v for k, v in r["metrics"].items() if k not in drop_metrics
         }
-        rounds.append(r)
-    return {
-        "strategy": data["strategy"],
-        "scenario": data["scenario"],
-        "rounds": rounds,
-    }
+    return data
 
 
 class TestEngineFactory:
@@ -162,14 +153,6 @@ class TestLoopEquivalence:
             "label_flipping_30",
         )
         assert normalized(loop) == normalized(pooled)
-
-    def test_legacy_backend_rejects_batched_engine(self):
-        with pytest.raises(ValueError, match="legacy backend"):
-            run_cell(
-                FederationConfig.tiny(engine="batched", backend="process_legacy"),
-                "fedavg",
-                "no_attack",
-            )
 
     @pytest.mark.slow
     @pytest.mark.parametrize("strategy", sorted(STRATEGY_FACTORIES))

@@ -20,7 +20,7 @@ from repro.experiments.scenarios import (
     make_scenario,
     make_strategy,
 )
-from repro.experiments.storage import history_to_dict
+from repro.experiments.storage import normalized_history_dict
 from repro.fl import (
     InMemoryChannel,
     LossyChannel,
@@ -28,16 +28,6 @@ from repro.fl import (
     SequentialBackend,
 )
 from repro.fl.simulation import build_federation
-
-
-def _strip_clocks(history) -> dict:
-    data = history_to_dict(history)
-    for r in data["rounds"]:
-        r.pop("duration_s")
-        r["metrics"] = {
-            k: v for k, v in r["metrics"].items() if not k.endswith("_s")
-        }
-    return data
 
 
 class TestInMemoryDefault:
@@ -51,7 +41,7 @@ class TestInMemoryDefault:
         explicit = build_federation(
             config, FedAvg(), no_attack(), channel=InMemoryChannel()
         ).run(rounds=3)
-        assert _strip_clocks(default) == _strip_clocks(explicit)
+        assert normalized_history_dict(default) == normalized_history_dict(explicit)
 
     def test_delivery_is_lossless(self):
         config = FederationConfig.tiny()
@@ -74,7 +64,7 @@ class TestBackendEquivalence:
             par = build_federation(
                 config, FedAvg(), AttackScenario.sign_flipping(0.5), backend=backend
             ).run(rounds=2)
-        assert _strip_clocks(seq) == _strip_clocks(par)
+        assert normalized_history_dict(seq) == normalized_history_dict(par)
 
     def test_process_pool_rejects_runtime_collusion(self):
         """≥2 colluders sharing one runtime-collusion attack must fail loudly."""

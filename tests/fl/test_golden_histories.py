@@ -21,7 +21,7 @@ import pytest
 
 from repro.config import FederationConfig
 from repro.experiments import run_cell
-from repro.experiments.storage import history_to_dict
+from repro.experiments.storage import history_to_dict, normalized_history_dict
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_histories.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -51,21 +51,21 @@ def _cell_config(server_mode: str, seed: int, engine: str) -> FederationConfig:
     )
 
 
+# Round fields added after the goldens were captured.
+_POST_REFACTOR_KEYS = ("selected_ids", "broadcasts_dropped", "submits_dropped")
+
+
 def _normalize(data: dict) -> dict:
     """Strip wall-clock fields and post-refactor-only keys from a history dict."""
-    out = {"strategy": data["strategy"], "scenario": data["scenario"], "rounds": []}
-    for r in data["rounds"]:
-        round_out = {
-            k: v
-            for k, v in r.items()
-            if k not in ("duration_s", "metrics", "selected_ids",
-                         "broadcasts_dropped", "submits_dropped")
-        }
-        round_out["metrics"] = {
-            k: v for k, v in r.get("metrics", {}).items() if not k.endswith("_s")
-        }
-        out["rounds"].append(round_out)
-    return out
+    data = normalized_history_dict(data)
+    return {
+        "strategy": data["strategy"],
+        "scenario": data["scenario"],
+        "rounds": [
+            {k: v for k, v in r.items() if k not in _POST_REFACTOR_KEYS}
+            for r in data["rounds"]
+        ],
+    }
 
 
 @pytest.mark.parametrize("engine", ["loop", "batched"])

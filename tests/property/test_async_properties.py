@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.config import FederationConfig
 from repro.experiments import run_cell
-from repro.experiments.storage import history_to_dict, load_checkpoint
+from repro.experiments.storage import load_checkpoint, normalized_history_dict
 from repro.fl import build_federation
 from repro.fl.modes import STALENESS_WEIGHTS
 from repro.fl.simulation import restore_federation
@@ -47,13 +47,9 @@ def normalized_bytes(history) -> bytes:
     metrics (``client_time_*``, ``aggregation_time_s``) measure the host;
     the determinism contract covers everything else, byte for byte.
     """
-    data = history_to_dict(history)
-    for record in data["rounds"]:
-        record.pop("duration_s", None)
-        record["metrics"] = {
-            k: v for k, v in record["metrics"].items() if not k.endswith("_s")
-        }
-    return json.dumps(data, sort_keys=True, default=float).encode()
+    return json.dumps(
+        normalized_history_dict(history), sort_keys=True, default=float
+    ).encode()
 
 
 # -- staleness weights ------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.analysis.contracts import (
 from repro.attacks import no_attack
 from repro.config import FederationConfig
 from repro.defenses import FedAvg
-from repro.fl import LegacyProcessPoolBackend, ProcessPoolBackend, build_federation
+from repro.fl import ProcessPoolBackend, build_federation
 
 from .test_async_properties import normalized_bytes
 
@@ -61,17 +61,16 @@ def test_reversed_push_order_of_ties_does_not_change_pop_order(times):
 
 
 # -- federation-level invariance --------------------------------------------
-def _async_history(adversary_seed=None, backend_cls=None, workers=1,
-                   **overrides):
+def _async_history(adversary_seed=None, workers=None, **overrides):
     base = dict(server_mode="async", buffer_size=4, rounds=2)
     base.update(overrides)
     config = FederationConfig.tiny(seed=0, **base)
     try:
         if adversary_seed is not None:
             enable_schedule_adversary(seed=adversary_seed)
-        if backend_cls is None:
+        if workers is None:
             return build_federation(config, FedAvg(), no_attack()).run()
-        with backend_cls(max_workers=workers) as backend:
+        with ProcessPoolBackend(max_workers=workers) as backend:
             server = build_federation(
                 config, FedAvg(), no_attack(), backend=backend
             )
@@ -102,14 +101,9 @@ def test_latency_schedule_survives_adversarial_order():
 
 def test_permuted_worker_placement_is_invisible():
     # Worker count changes sticky placement (client_id mod workers) and
-    # the adversary permutes drain/submission order on top — histories
-    # must match the sequential run bit for bit on both process backends.
+    # the adversary permutes drain order on top — histories must match
+    # the sequential run bit for bit at every worker count.
     reference = normalized_bytes(_async_history())
-    for backend_cls, workers in (
-        (ProcessPoolBackend, 2),
-        (LegacyProcessPoolBackend, 3),
-    ):
-        perturbed = _async_history(
-            adversary_seed=5, backend_cls=backend_cls, workers=workers
-        )
+    for workers in (2, 3):
+        perturbed = _async_history(adversary_seed=5, workers=workers)
         assert normalized_bytes(perturbed) == reference
