@@ -4,6 +4,11 @@ Every layer implements the ``forward``/``backward`` contract of
 :class:`repro.nn.module.Module`. Forward passes cache the minimum needed for
 the backward pass; backward passes accumulate parameter gradients (``+=``)
 so that gradient accumulation across micro-batches works naturally.
+
+Linear, Conv2d and MaxPool2d each have one body, written for a leading
+client axis: (K, N, ...) inputs against (K, ...) parameters while
+``client_axis`` is set. An unstacked layer runs as the K = 1 stack
+(``x[None]`` in, ``out[0]`` out).
 """
 
 from __future__ import annotations
@@ -18,12 +23,31 @@ from .module import Module, Parameter
 __all__ = ["Linear", "Conv2d", "MaxPool2d", "Flatten", "Dropout"]
 
 
+def _lift(layer: Module, array: np.ndarray) -> np.ndarray:
+    """``array`` with a leading client axis (a K = 1 view when unstacked)."""
+    return array if layer.client_axis is not None else array[None]
+
+
+def _drop(layer: Module, array: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_lift` for a layer's result."""
+    return array if layer.client_axis is not None else array[0]
+
+
+def _layout_error(layer: Module, dims: str, x: np.ndarray) -> ValueError:
+    """The shape error for ``x``, naming the input layout ``layer`` expects."""
+    name = type(layer).__name__
+    if layer.client_axis is not None:
+        name, dims = f"client-batched {name}", f"K, {dims}"
+    return ValueError(f"{name} expects ({dims}), got shape {x.shape}")
+
+
 class Linear(Module):
     """Fully connected layer ``y = x @ W.T + b``.
 
     Parameters are stored in (out_features, in_features) layout to match
     PyTorch conventions, which makes the paper's parameter-count tables
-    directly checkable.
+    directly checkable. ``np.matmul`` runs one BLAS GEMM per client slice,
+    so slice j is bit-identical to the 2-D ``x[j] @ w[j].T``.
     """
 
     def __init__(
@@ -45,47 +69,36 @@ class Linear(Module):
 
     @client_batched
     def forward(self, x: np.ndarray) -> np.ndarray:
-        w = self.weight.data
-        if w.ndim == 3:
-            # Client-batched mode: K stacked weight matrices (K, out, in)
-            # against K stacked batches (K, N, in). np.matmul dispatches a
-            # per-slice BLAS GEMM, so slice j is bit-identical to the
-            # unstacked x[j] @ w[j].T.
-            if x.ndim != 3 or x.shape[-1] != self.in_features:
-                raise ValueError(
-                    f"client-batched Linear expects (K, N, {self.in_features}), "
-                    f"got shape {x.shape}"
-                )
-            self._cache_input = x
-            out = np.matmul(x, w.transpose(0, 2, 1))
-            if self.has_bias:
-                out += self.bias.data[:, None, :]
-            return out
-        if x.ndim != 2:
-            raise ValueError(f"Linear expects (N, {self.in_features}), got shape {x.shape}")
-        self._cache_input = x
-        out = x @ w.T
+        xs = _lift(self, x)
+        if xs.ndim != 3 or xs.shape[-1] != self.in_features:
+            raise _layout_error(self, f"N, {self.in_features}", x)
+        self._cache_input = xs
+        out = np.matmul(xs, _lift(self, self.weight.data).transpose(0, 2, 1))
         if self.has_bias:
-            out += self.bias.data
-        return out
+            out += _lift(self, self.bias.data)[:, None, :]
+        return _drop(self, out)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         x = self._cache_input
         if x is None:
             raise RuntimeError("backward called before forward")
-        if self.weight.data.ndim == 3:
-            self.weight.grad += np.matmul(grad_output.transpose(0, 2, 1), x)
-            if self.has_bias:
-                self.bias.grad += grad_output.sum(axis=1)
-            return np.matmul(grad_output, self.weight.data)
-        self.weight.grad += grad_output.T @ x
+        grad = _lift(self, grad_output)
+        weight_grad = _lift(self, self.weight.grad)
+        weight_grad += np.matmul(grad.transpose(0, 2, 1), x)
         if self.has_bias:
-            self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.data
+            bias_grad = _lift(self, self.bias.grad)
+            bias_grad += grad.sum(axis=1)
+        return _drop(self, np.matmul(grad, _lift(self, self.weight.data)))
 
 
 class Conv2d(Module):
-    """2-D convolution over (N, C, H, W) tensors via im2col + GEMM."""
+    """2-D convolution over (N, C, H, W) tensors via im2col + GEMM.
+
+    The client axis is folded into the im2col batch and one stacked GEMM
+    applies each client's kernel to exactly its own columns: im2col's
+    column index is m*L + l, so splitting the m = j*N + i axis recovers
+    client j's column matrix bit-for-bit.
+    """
 
     def __init__(
         self,
@@ -112,89 +125,51 @@ class Conv2d(Module):
             self.bias = Parameter(init.uniform_fan_in((out_channels,), fan_in, rng))
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.weight.data.ndim == 5:
-            return self._forward_batched(x)
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"Conv2d expects (N, {self.in_channels}, H, W), got shape {x.shape}"
-            )
-        n, _, h, w = x.shape
-        k, s, p = self.kernel_size, self.stride, self.padding
-        out_h = (h + 2 * p - k) // s + 1
-        out_w = (w + 2 * p - k) // s + 1
-        cols = F.im2col(x, k, k, padding=p, stride=s)  # (C*k*k, N*out_h*out_w)
-        w_flat = self.weight.data.reshape(self.out_channels, -1)
-        out = w_flat @ cols  # (out_channels, N*out_h*out_w)
-        out = out.reshape(self.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
-        if self.has_bias:
-            out += self.bias.data[None, :, None, None]
-        self._cache = (x.shape, cols)
-        return np.ascontiguousarray(out)
-
     @client_batched
-    def _forward_batched(self, x: np.ndarray) -> np.ndarray:
-        # K stacked kernels (K, out_c, in_c, k, k) over K stacked image
-        # batches (K, N, in_c, H, W). The client axis is folded into the
-        # im2col batch (reusing the per-geometry index memo — batch size
-        # never keys the cache) and one stacked GEMM applies each client's
-        # kernel to exactly its own columns: im2col's column index is
-        # m*L + l, so splitting the m = j*N + i axis recovers client j's
-        # unstacked column matrix bit-for-bit.
-        if x.ndim != 5 or x.shape[2] != self.in_channels:
-            raise ValueError(
-                f"client-batched Conv2d expects (K, N, {self.in_channels}, H, W), "
-                f"got shape {x.shape}"
-            )
-        clients, n, _, h, w = x.shape
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        xs = _lift(self, x)
+        if xs.ndim != 5 or xs.shape[2] != self.in_channels:
+            raise _layout_error(self, f"N, {self.in_channels}, H, W", x)
+        clients, n, _, h, w = xs.shape
         k, s, p = self.kernel_size, self.stride, self.padding
         out_h = (h + 2 * p - k) // s + 1
         out_w = (w + 2 * p - k) // s + 1
         cols = F.im2col(
-            np.ascontiguousarray(x).reshape(clients * n, self.in_channels, h, w),
+            np.ascontiguousarray(xs).reshape(clients * n, self.in_channels, h, w),
             k, k, padding=p, stride=s,
         )  # (C*k*k, K*N*out_h*out_w)
         ckk = cols.shape[0]
         cols_b = cols.reshape(ckk, clients, n * out_h * out_w).transpose(1, 0, 2)
-        w_flat = self.weight.data.reshape(clients, self.out_channels, -1)
+        w_flat = _lift(self, self.weight.data).reshape(clients, self.out_channels, -1)
         out = np.matmul(w_flat, cols_b)  # (K, out_c, N*out_h*out_w)
         out = out.reshape(clients, self.out_channels, n, out_h, out_w)
         out = out.transpose(0, 2, 1, 3, 4)
         if self.has_bias:
-            out += self.bias.data[:, None, :, None, None]
-        self._cache = (x.shape, cols)
-        return np.ascontiguousarray(out)
+            out += _lift(self, self.bias.data)[:, None, :, None, None]
+        self._cache = (xs.shape, cols)
+        return _drop(self, np.ascontiguousarray(out))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x_shape, cols = self._cache
         k, s, p = self.kernel_size, self.stride, self.padding
-        if len(x_shape) == 5:
-            clients, n = x_shape[0], x_shape[1]
-            grad = grad_output.transpose(0, 2, 1, 3, 4)
-            grad = grad.reshape(clients, self.out_channels, -1)  # (K, out_c, N*L)
-            ckk = cols.shape[0]
-            cols_b = cols.reshape(ckk, clients, -1).transpose(1, 0, 2)
-            self.weight.grad += np.matmul(grad, cols_b.transpose(0, 2, 1)).reshape(
-                self.weight.data.shape
-            )
-            if self.has_bias:
-                self.bias.grad += grad_output.sum(axis=(1, 3, 4))
-            w_flat = self.weight.data.reshape(clients, self.out_channels, -1)
-            dcols_b = np.matmul(w_flat.transpose(0, 2, 1), grad)  # (K, C*k*k, N*L)
-            dcols = np.ascontiguousarray(dcols_b.transpose(1, 0, 2)).reshape(ckk, -1)
-            dx = F.col2im(
-                dcols, (clients * n,) + x_shape[2:], k, k, padding=p, stride=s
-            )
-            return dx.reshape(x_shape)
-        grad = grad_output.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
-        self.weight.grad += (grad @ cols.T).reshape(self.weight.data.shape)
+        clients, n = x_shape[0], x_shape[1]
+        grad_out = _lift(self, grad_output)
+        grad = grad_out.transpose(0, 2, 1, 3, 4)
+        grad = grad.reshape(clients, self.out_channels, -1)  # (K, out_c, N*L)
+        ckk = cols.shape[0]
+        cols_b = cols.reshape(ckk, clients, -1).transpose(1, 0, 2)
+        weight_grad = _lift(self, self.weight.grad)
+        weight_grad += np.matmul(grad, cols_b.transpose(0, 2, 1)).reshape(weight_grad.shape)
         if self.has_bias:
-            self.bias.grad += grad_output.sum(axis=(0, 2, 3))
-        w_flat = self.weight.data.reshape(self.out_channels, -1)
-        dcols = w_flat.T @ grad  # (C*k*k, N*out_h*out_w)
-        return F.col2im(dcols, x_shape, k, k, padding=p, stride=s)
+            bias_grad = _lift(self, self.bias.grad)
+            bias_grad += grad_out.sum(axis=(1, 3, 4))
+        w_flat = _lift(self, self.weight.data).reshape(clients, self.out_channels, -1)
+        dcols_b = np.matmul(w_flat.transpose(0, 2, 1), grad)  # (K, C*k*k, N*L)
+        dcols = np.ascontiguousarray(dcols_b.transpose(1, 0, 2)).reshape(ckk, -1)
+        dx = F.col2im(dcols, (clients * n,) + x_shape[2:], k, k, padding=p, stride=s)
+        return _drop(self, dx.reshape(x_shape))
 
 
 class MaxPool2d(Module):
@@ -202,7 +177,7 @@ class MaxPool2d(Module):
 
     Implemented by reshaping into pooling windows — the fastest pure-NumPy
     route when windows do not overlap, which is all the paper's
-    architecture needs (2×2/2).
+    architecture needs (2×2/2). Max and mask are exact per client slice.
     """
 
     def __init__(self, kernel_size: int) -> None:
@@ -210,52 +185,33 @@ class MaxPool2d(Module):
         self.kernel_size = kernel_size
         self._cache: tuple | None = None
 
+    @client_batched
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 5:
-            return self._forward_batched(x)
-        n, c, h, w = x.shape
+        xs = _lift(self, x)
+        if xs.ndim != 5:
+            raise _layout_error(self, "N, C, H, W", x)
+        clients, n, c, h, w = xs.shape
         k = self.kernel_size
         if h % k or w % k:
             raise ValueError(
                 f"MaxPool2d({k}) requires spatial dims divisible by {k}, got {h}x{w}"
             )
-        reshaped = x.reshape(n, c, h // k, k, w // k, k)
-        out = reshaped.max(axis=(3, 5))
+        reshaped = np.ascontiguousarray(xs).reshape(clients, n, c, h // k, k, w // k, k)
+        out = reshaped.max(axis=(4, 6))
         # Mask of argmax positions for routing gradients. Ties route the
         # gradient to every maximal element, matching subgradient semantics.
-        mask = reshaped == out[:, :, :, None, :, None]
-        self._cache = (x.shape, mask)
-        return out
-
-    @client_batched
-    def _forward_batched(self, x: np.ndarray) -> np.ndarray:
-        # (K, N, C, H, W): same window reshape with the client axis riding
-        # in front; max/mask are exact per slice.
-        clients, n, c, h, w = x.shape
-        k = self.kernel_size
-        if h % k or w % k:
-            raise ValueError(
-                f"MaxPool2d({k}) requires spatial dims divisible by {k}, got {h}x{w}"
-            )
-        reshaped = np.ascontiguousarray(x).reshape(clients, n, c, h // k, k, w // k, k)
-        out = reshaped.max(axis=(4, 6))
         mask = reshaped == out[:, :, :, :, None, :, None]
-        self._cache = (x.shape, mask)
-        return out
+        self._cache = (xs.shape, mask)
+        return _drop(self, out)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x_shape, mask = self._cache
-        k = self.kernel_size
-        if len(x_shape) == 5:
-            counts = mask.sum(axis=(4, 6), keepdims=True)
-            grad = (mask / counts) * grad_output[:, :, :, :, None, :, None]
-            return grad.reshape(x_shape)
-        n, c, h, w = x_shape
-        counts = mask.sum(axis=(3, 5), keepdims=True)
-        grad = (mask / counts) * grad_output[:, :, :, None, :, None]
-        return grad.reshape(n, c, h, w)
+        grad_out = _lift(self, grad_output)
+        counts = mask.sum(axis=(4, 6), keepdims=True)
+        grad = (mask / counts) * grad_out[:, :, :, :, None, :, None]
+        return _drop(self, grad.reshape(x_shape))
 
 
 class Flatten(Module):

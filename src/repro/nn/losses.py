@@ -35,51 +35,40 @@ class SoftmaxCrossEntropy:
 
     Client-batched mode: (K, N, C) logits with (K, N) labels return a
     ``(K,)`` vector of per-client mean losses, and ``backward`` returns the
-    stacked per-client gradients — slice j is bit-identical to running the
-    unstacked loss on client j alone.
+    stacked per-client gradients. Unstacked logits run as the K = 1 stack
+    and return a Python ``float``, so slice j of a stack is bit-identical
+    to running the loss on client j alone.
     """
 
     def __init__(self) -> None:
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._cache: tuple[np.ndarray, np.ndarray, bool] | None = None
 
     def forward(self, logits: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
         labels = np.asarray(labels)
-        if logits.ndim == 3:
-            if labels.shape != logits.shape[:2]:
-                raise ValueError(
-                    f"client-batched labels must be {logits.shape[:2]}, "
-                    f"got {labels.shape}"
-                )
-            log_probs = F.log_softmax(logits, axis=-1)
-            clients, n = logits.shape[:2]
-            picked = log_probs[
-                np.arange(clients)[:, None], np.arange(n)[None, :], labels
-            ]
-            self._cache = (np.exp(log_probs), labels)
-            return -picked.mean(axis=1)
-        if logits.ndim != 2:
-            raise ValueError(f"logits must be (N, C), got {logits.shape}")
+        if logits.ndim not in (2, 3) or labels.shape != logits.shape[:-1]:
+            raise ValueError(
+                "expected (N, C) logits with (N,) labels or (K, N, C) logits "
+                f"with (K, N) labels, got {logits.shape} and {labels.shape}"
+            )
+        single = logits.ndim == 2
+        if single:
+            logits, labels = logits[None], labels[None]
         log_probs = F.log_softmax(logits, axis=-1)
-        n = logits.shape[0]
-        loss = -log_probs[np.arange(n), labels].mean()
-        self._cache = (np.exp(log_probs), labels)
-        return float(loss)
+        clients, n = logits.shape[:2]
+        picked = log_probs[np.arange(clients)[:, None], np.arange(n)[None, :], labels]
+        self._cache = (np.exp(log_probs), labels, single)
+        loss = -picked.mean(axis=1)
+        return float(loss[0]) if single else loss
 
     def backward(self) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        probs, labels = self._cache
-        if probs.ndim == 3:
-            clients, n = probs.shape[:2]
-            grad = probs.copy()
-            grad[np.arange(clients)[:, None], np.arange(n)[None, :], labels] -= 1.0
-            grad /= n
-            return grad
-        n = probs.shape[0]
+        probs, labels, single = self._cache
+        clients, n = probs.shape[:2]
         grad = probs.copy()
-        grad[np.arange(n), labels] -= 1.0
+        grad[np.arange(clients)[:, None], np.arange(n)[None, :], labels] -= 1.0
         grad /= n
-        return grad
+        return grad[0] if single else grad
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
         return self.forward(logits, labels)

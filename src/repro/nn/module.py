@@ -74,9 +74,9 @@ class Module:
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "training", True)
         # Client-batched mode (None = single-model). When set to an integer
-        # K, parameter data carries a leading (K, ...) client axis and the
-        # shape-dependent layers (Flatten, Dropout, the model-level
-        # reshapes) interpret inputs as (K, N, ...) stacks. Installed by
+        # K, parameter data carries a leading (K, ...) client axis and every
+        # layer (and the model-level reshapes) interprets inputs as
+        # (K, N, ...) stacks. Installed by
         # ``repro.nn.serialization.stack_parameters``.
         object.__setattr__(self, "client_axis", None)
 
@@ -141,9 +141,9 @@ class Module:
     def set_client_axis(self, clients: int | None) -> "Module":
         """Mark this module tree as operating on ``clients`` stacked models.
 
-        Layers whose math is driven by parameter shapes (Linear, Conv2d)
-        detect batching from the extra weight dimension; layers without
-        parameters (Flatten, Dropout) consult this flag instead. ``None``
+        The one stacking signal every layer reads. Linear, Conv2d and
+        MaxPool2d run an unstacked input through their client-axis body as
+        the K = 1 stack; Flatten and Dropout branch on it. ``None``
         restores single-model semantics.
         """
         object.__setattr__(self, "client_axis", clients)

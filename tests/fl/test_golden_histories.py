@@ -19,7 +19,7 @@ import pathlib
 
 import pytest
 
-from repro.config import FederationConfig
+from repro.config import FederationConfig, ModelConfig
 from repro.experiments import run_cell
 from repro.experiments.storage import history_to_dict, normalized_history_dict
 
@@ -37,6 +37,13 @@ GOLDEN_ASYNC_PATH = (
 GOLDEN_ASYNC = json.loads(GOLDEN_ASYNC_PATH.read_text())
 
 GOLDEN_BY_MODE = {"sync": GOLDEN, "async": GOLDEN_ASYNC}
+
+# CNN goldens: the paper's model family (conv, max-pool, im2col/col2im)
+# under a federation gate, captured before the layers' unstacked 4-D
+# bodies were folded into the client-axis one. Krum's best score is a
+# raw distance, so a 1e-12 drift in col2im or im2col moves it.
+GOLDEN_CNN_PATH = pathlib.Path(__file__).parent / "data" / "golden_histories_cnn.json"
+GOLDEN_CNN = json.loads(GOLDEN_CNN_PATH.read_text())
 
 
 def _cell_config(server_mode: str, seed: int, engine: str) -> FederationConfig:
@@ -78,6 +85,26 @@ def test_history_matches_pre_refactor_golden(cell, engine):
     config = FederationConfig.tiny(seed=seed, engine=engine)
     history = run_cell(config, strategy, scenario)
     assert _normalize(history_to_dict(history)) == _normalize(GOLDEN[cell])
+
+
+def _cnn_config(seed: int, engine: str) -> FederationConfig:
+    return FederationConfig.tiny(
+        seed=seed, engine=engine, local_epochs=3, client_lr=0.1, rounds=3,
+        train_samples=480,
+        model=ModelConfig(
+            kind="cnn", image_size=8, cnn_channels=(4, 8), cnn_hidden=16,
+            cnn_kernel=3, cvae_hidden=24, cvae_latent=4,
+        ),
+    )
+
+
+@pytest.mark.parametrize("engine", ["loop", "batched"])
+@pytest.mark.parametrize("cell", sorted(GOLDEN_CNN))
+def test_cnn_history_matches_golden(cell, engine):
+    strategy, scenario, seed_tag = cell.rsplit("__", 2)
+    config = _cnn_config(int(seed_tag.removeprefix("seed")), engine)
+    history = run_cell(config, strategy, scenario)
+    assert normalized_history_dict(history) == GOLDEN_CNN[cell]
 
 
 def test_golden_file_covers_multiple_defense_families():

@@ -4,9 +4,13 @@ Every ``@client_batched`` layer (Linear, Conv2d, MaxPool2d, Flatten,
 Dropout) and functional op (relu, sigmoid, softmax, log_softmax, one_hot)
 is driven with a stacked ``(K, ...)`` input and compared **bitwise** — not
 approximately — against running each client's slice through its own
-single-model twin. The same holds through backward passes and optimizer
-steps, which is the invariant the batched training engine
-(:mod:`repro.fl.batched`) rests on.
+unstacked model. Linear, Conv2d, MaxPool2d and SoftmaxCrossEntropy have a
+single client-axis body that runs an unstacked input as the K = 1 stack,
+so these cases pin that a K-stack slice equals its K = 1 run; the
+federation goldens (``tests/fl/data``), captured before the unstacked
+bodies were removed, pin the K = 1 run itself. The same holds through
+backward passes and optimizer steps, which is the invariant the batched
+training engine (:mod:`repro.fl.batched`) rests on.
 
 Float32 coverage applies to the functional ops (Parameter data is always
 float64 by construction); the dtype assertions double as the no-widening
@@ -85,9 +89,11 @@ class TestMaxPool2d:
     @given(K_VALUES, SEEDS, st.integers(1, 3), st.integers(1, 2))
     @settings(max_examples=15, deadline=None)
     def test_forward_backward_bitwise(self, k, seed, n, c):
-        # Parameterless: batched mode triggers on the 5-D input itself.
+        # Parameterless: batched mode comes from the client_axis flag, the
+        # one stacking signal every layer reads.
         rng = np.random.default_rng(seed)
         pool = nn.MaxPool2d(kernel_size=2)
+        pool.set_client_axis(k)
         x = rng.standard_normal((k, n, c, 6, 6))
         grad_out = rng.standard_normal((k, n, c, 3, 3))
         out = pool(x)

@@ -151,6 +151,36 @@ class TestConv2d:
         assert grad_in[0, 0, 2, 1] == pytest.approx((plus - minus) / (2 * eps), abs=1e-6)
 
 
+WRONG_LAYOUT_CASES = {
+    "linear": (lambda rng: nn.Linear(3, 2, rng=rng), (4, 3), "N, 3"),
+    "conv2d": (
+        lambda rng: nn.Conv2d(2, 3, kernel_size=3, padding=1, rng=rng),
+        (4, 2, 6, 6),
+        "N, 2, H, W",
+    ),
+}
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "unstacked"])
+@pytest.mark.parametrize("kind", sorted(WRONG_LAYOUT_CASES))
+def test_wrong_layout_input_raises(rng, kind, stacked):
+    # A stacked layer fed one model's batch, or an unstacked layer fed a
+    # (K, ...) stack, must fail loudly and name the layout it expected.
+    make, single_shape, dims = WRONG_LAYOUT_CASES[kind]
+    layer = make(rng)
+    name = type(layer).__name__
+    if stacked:
+        vector = nn.parameters_to_vector(layer)
+        nn.stack_parameters(np.stack([vector, vector]), layer)
+        x = rng.standard_normal(single_shape)
+        expected = rf"^client-batched {name} expects \(K, {dims}\), got shape"
+    else:
+        x = rng.standard_normal((2,) + single_shape)
+        expected = rf"^{name} expects \({dims}\), got shape"
+    with pytest.raises(ValueError, match=expected):
+        layer(x)
+
+
 class TestMaxPool2d:
     def test_forward_values(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)

@@ -48,6 +48,13 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(RuntimeError):
             nn.SoftmaxCrossEntropy().backward()
 
+    @pytest.mark.parametrize("labels", [[1], [[1, 1, 1, 1]], [1, 1, 1]])
+    def test_rejects_labels_not_matching_logits(self, labels):
+        # Labels that only broadcast against the (N,) row index must not
+        # score as N copies of one label.
+        with pytest.raises(ValueError, match=r"got \(4, 3\) and"):
+            nn.SoftmaxCrossEntropy()(np.zeros((4, 3)), np.array(labels))
+
 
 class TestBCELoss:
     def test_known_value(self):
