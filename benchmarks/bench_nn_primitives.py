@@ -2,7 +2,8 @@
 
 Not tied to a paper table — these measure the primitives every federated
 round is built from (conv forward/backward via im2col, a full client
-training step, CVAE ELBO step, flat-vector round-trip), so performance
+training step, CVAE ELBO step, flat-vector round-trip) and the kernels
+under them (im2col, col2im, max-pool and the Adam step), so performance
 regressions in the substrate are visible independently of the federation
 benches.
 """
@@ -67,20 +68,53 @@ def test_bench_decoder_generation(benchmark):
     benchmark(lambda: cvae.generate(labels, rng))
 
 
-def test_bench_im2col_indices_uncached(benchmark):
-    """The seed's per-call index construction (cache bypassed)."""
-    from repro.nn.functional import _im2col_indices_cached
-
-    compute = _im2col_indices_cached.__wrapped__
-    benchmark(lambda: compute(8, 16, 16, 5, 5, 2, 1))
+# The paper_scaled CNN's two conv geometries (5×5 kernel, padding 2):
+# conv1 on the 16×16 input and conv2 on the pooled 8×8 maps.
+CONV_INPUTS = {"conv1": (32, 1, 16, 16), "conv2": (32, 8, 8, 8)}
 
 
-def test_bench_im2col_indices_cached(benchmark):
-    """The memoized path every conv forward/backward now takes."""
-    from repro.nn.functional import im2col_indices
+@pytest.mark.parametrize("shape", CONV_INPUTS.values(), ids=CONV_INPUTS.keys())
+def test_bench_im2col(benchmark, shape):
+    x = np.random.default_rng(0).random(shape)
+    benchmark(lambda: nn.functional.im2col(x, 5, 5, padding=2))
 
-    im2col_indices((32, 8, 16, 16), 5, 5, 2, 1)  # warm the cache
-    benchmark(lambda: im2col_indices((32, 8, 16, 16), 5, 5, 2, 1))
+
+@pytest.mark.parametrize("shape", CONV_INPUTS.values(), ids=CONV_INPUTS.keys())
+def test_bench_col2im(benchmark, shape):
+    cols = nn.functional.im2col(np.random.default_rng(0).random(shape), 5, 5, padding=2)
+    benchmark(lambda: nn.functional.col2im(cols, shape, 5, 5, padding=2))
+
+
+@pytest.fixture(scope="module")
+def pool_input():
+    """conv1's post-ReLU maps, (32, 8, 16, 16): the pool runs it as the
+    (1, 32, 8, 16, 16) client stack."""
+    rng = np.random.default_rng(0)
+    x = nn.functional.relu(rng.standard_normal((32, 8, 16, 16)))
+    return x, rng.standard_normal((32, 8, 8, 8))
+
+
+def test_bench_maxpool_forward(benchmark, pool_input):
+    x, _ = pool_input
+    pool = nn.MaxPool2d(2)
+    benchmark(lambda: pool(x))
+
+
+def test_bench_maxpool_backward(benchmark, pool_input):
+    x, grad_out = pool_input
+    pool = nn.MaxPool2d(2)
+    pool(x)
+    benchmark(lambda: pool.backward(grad_out))
+
+
+def test_bench_adam_step(benchmark):
+    """One step over the paper_scaled CVAE's parameters."""
+    cvae = scaled_cvae(input_dim=256, rng=np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    for p in cvae.parameters():
+        p.grad[...] = rng.standard_normal(p.shape)
+    opt = nn.Adam(cvae.parameters(), lr=1e-3)
+    benchmark(opt.step)
 
 
 def test_bench_parameter_roundtrip(benchmark):

@@ -8,7 +8,9 @@ The convolution primitives follow the classic im2col/col2im scheme: a
 (batch, channels, H, W) tensor is unfolded into a matrix of receptive-field
 columns so that the convolution itself becomes a single BLAS ``matmul`` —
 per the HPC guidance, there are no per-sample or per-pixel Python loops
-anywhere in the forward or backward passes.
+anywhere in the forward or backward passes. Both are strided views of the
+image: ``im2col`` copies once out of a window view, and ``col2im`` loops
+only over the kh×kw kernel offsets, one whole-tensor slice-add each.
 
 Every public function carries an :func:`~repro.analysis.contracts.array_contract`
 shape/dtype precondition. The decorators are no-ops (the raw functions,
@@ -19,14 +21,11 @@ instead of propagating NaNs through a federation.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from ..analysis.contracts import array_contract, client_batched
 
 __all__ = [
-    "im2col_indices",
     "im2col",
     "col2im",
     "softmax",
@@ -37,81 +36,25 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=None)
-def _im2col_indices_cached(
-    channels: int,
-    height: int,
-    width: int,
-    field_height: int,
-    field_width: int,
-    padding: int,
-    stride: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compute (and memoize) the gather indices for one unfold geometry.
-
-    The arrays depend only on (C, H, W, kernel, padding, stride) — not on
-    the batch size — yet the seed recomputed them identically for every
-    batch of every epoch of every client. The cache is tiny (a handful of
-    geometries per federation) and the arrays are marked read-only so a
-    caller cannot corrupt a shared entry.
-    """
-    out_height = (height + 2 * padding - field_height) // stride + 1
-    out_width = (width + 2 * padding - field_width) // stride + 1
-    if out_height <= 0 or out_width <= 0:
-        raise ValueError(
-            f"im2col produced non-positive output size for input "
-            f"(N, {channels}, {height}, {width}) with kernel "
-            f"({field_height}, {field_width}), padding {padding}, "
-            f"stride {stride}"
-        )
-
-    i0 = np.repeat(np.arange(field_height), field_width)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_height), out_width)
-    j0 = np.tile(np.arange(field_width), field_height * channels)
-    j1 = stride * np.tile(np.arange(out_width), out_height)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), field_height * field_width).reshape(-1, 1)
-    for arr in (k, i, j):
-        arr.setflags(write=False)
-    return k, i, j
-
-
-def im2col_indices(
+def _out_size(
     x_shape: tuple[int, int, int, int],
     field_height: int,
     field_width: int,
     padding: int,
     stride: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compute the (k, i, j) gather indices for an im2col unfold.
-
-    Results are cached per geometry (batch size does not participate);
-    the returned arrays are shared and read-only.
-
-    Parameters
-    ----------
-    x_shape:
-        Shape of the input tensor ``(N, C, H, W)``.
-    field_height, field_width:
-        Size of the convolution kernel.
-    padding:
-        Symmetric zero padding applied to both spatial dimensions.
-    stride:
-        Convolution stride (same for both spatial dimensions).
-
-    Returns
-    -------
-    (k, i, j):
-        Index arrays such that ``x_padded[:, k, i, j]`` yields the unfolded
-        receptive fields with shape ``(N, C*fh*fw, out_h*out_w)``.
-    """
+) -> tuple[int, int]:
+    """``(out_h, out_w)`` of an unfold; raises if either is non-positive."""
     _, channels, height, width = x_shape
-    return _im2col_indices_cached(
-        int(channels), int(height), int(width),
-        int(field_height), int(field_width), int(padding), int(stride),
-    )
+    out_height = (height + 2 * padding - field_height) // stride + 1
+    out_width = (width + 2 * padding - field_width) // stride + 1
+    if out_height <= 0 or out_width <= 0:
+        raise ValueError(
+            f"unfold has a non-positive output size for input "
+            f"(N, {channels}, {height}, {width}) with kernel "
+            f"({field_height}, {field_width}), padding {padding}, "
+            f"stride {stride}"
+        )
+    return out_height, out_width
 
 
 @array_contract(x={"ndim": 4, "dtype": "numeric"})
@@ -128,27 +71,23 @@ def im2col(
     flattened receptive fields, ready to be multiplied by a flattened
     weight matrix.
     """
+    _out_size(x.shape, field_height, field_width, padding, stride)
     if padding > 0:
         x = np.pad(
             x,
             ((0, 0), (0, 0), (padding, padding), (padding, padding)),
             mode="constant",
         )
-    k, i, j = im2col_indices(
-        (x.shape[0], x.shape[1], x.shape[2] - 2 * padding, x.shape[3] - 2 * padding)
-        if padding > 0
-        else x.shape,
-        field_height,
-        field_width,
-        padding,
-        stride,
+    # (N, C, H', W', fh, fw) view of every stride-1 window, thinned to the
+    # strided ones; no data moves until the reshape below.
+    windows = np.lib.stride_tricks.sliding_window_view(
+        x, (field_height, field_width), axis=(2, 3)
+    )[:, :, ::stride, ::stride]
+    # Row index = (c, ki, kj) and column index = n * L + l: the conv layer's
+    # output reshape relies on this exact layout. The reshape is the one copy.
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(
+        x.shape[1] * field_height * field_width, -1
     )
-    cols = x[:, k, i, j]  # (N, C*fh*fw, out_h*out_w)
-    channels = x.shape[1]
-    # Column ordering is (batch, location): column index = n * L + l. The
-    # conv layer's output reshape relies on this exact layout.
-    cols = cols.transpose(1, 0, 2).reshape(field_height * field_width * channels, -1)
-    return cols
 
 
 @array_contract(cols={"ndim": 2, "dtype": "numeric"})
@@ -163,16 +102,33 @@ def col2im(
     """Fold columns back into an image tensor, accumulating overlaps.
 
     This is the adjoint of :func:`im2col` and is used to propagate gradients
-    through the unfold.
+    through the unfold. ``cols`` must have exactly the shape
+    ``im2col`` produces for ``x_shape``, ``(C*fh*fw, N*out_h*out_w)``.
+
+    The fold is one strided slice-add per kernel offset (ki, kj), in
+    row-major order. A padded pixel receives at most one term per offset,
+    so it sums its terms in (ki, kj) order starting from zero: the same
+    additions, in the same order, as an unbuffered scatter-add over the
+    rows of ``cols``, hence the same bits.
     """
     batch, channels, height, width = x_shape
+    out_height, out_width = _out_size(x_shape, field_height, field_width, padding, stride)
+    expected = (channels * field_height * field_width, batch * out_height * out_width)
+    if cols.shape != expected:
+        raise ValueError(
+            f"col2im expects columns of shape {expected} for input {tuple(x_shape)} "
+            f"with kernel ({field_height}, {field_width}), padding {padding}, "
+            f"stride {stride}; got {cols.shape}"
+        )
     h_padded, w_padded = height + 2 * padding, width + 2 * padding
     x_padded = np.zeros((batch, channels, h_padded, w_padded), dtype=cols.dtype)
-    k, i, j = im2col_indices(x_shape, field_height, field_width, padding, stride)
-    cols_reshaped = cols.reshape(channels * field_height * field_width, batch, -1)
-    cols_reshaped = cols_reshaped.transpose(1, 0, 2)
-    # np.add.at accumulates contributions from overlapping receptive fields.
-    np.add.at(x_padded, (slice(None), k, i, j), cols_reshaped)
+    # (fh, fw, N, C, out_h, out_w) view: one (N, C, out_h, out_w) term per offset.
+    terms = cols.reshape(
+        channels, field_height, field_width, batch, out_height, out_width
+    ).transpose(1, 2, 3, 0, 4, 5)
+    h_span, w_span = stride * out_height, stride * out_width
+    for ki, kj in np.ndindex(field_height, field_width):
+        x_padded[:, :, ki:ki + h_span:stride, kj:kj + w_span:stride] += terms[ki, kj]
     if padding == 0:
         return x_padded
     return x_padded[:, :, padding:-padding, padding:-padding]

@@ -175,9 +175,11 @@ class Conv2d(Module):
 class MaxPool2d(Module):
     """Non-overlapping max pooling with ``kernel_size == stride``.
 
-    Implemented by reshaping into pooling windows — the fastest pure-NumPy
-    route when windows do not overlap, which is all the paper's
-    architecture needs (2×2/2). Max and mask are exact per client slice.
+    Each of the k×k window offsets is one strided view of the input, so
+    the pool is k×k whole-tensor ``np.maximum`` passes over views (the
+    fastest pure-NumPy route when windows do not overlap, which is all the
+    paper's architecture needs: 2×2/2). Max and mask are exact per client
+    slice.
     """
 
     def __init__(self, kernel_size: int) -> None:
@@ -197,7 +199,12 @@ class MaxPool2d(Module):
                 f"MaxPool2d({k}) requires spatial dims divisible by {k}, got {h}x{w}"
             )
         reshaped = np.ascontiguousarray(xs).reshape(clients, n, c, h // k, k, w // k, k)
-        out = reshaped.max(axis=(4, 6))
+        # Fold the window offsets in row-major order. On a tie np.maximum
+        # returns its second argument, so a ±0.0 window keeps the same
+        # signed zero as a max reduction over the window would.
+        out = reshaped[:, :, :, :, 0, :, 0].copy()
+        for a, b in list(np.ndindex(k, k))[1:]:
+            np.maximum(out, reshaped[:, :, :, :, a, :, b], out=out)
         # Mask of argmax positions for routing gradients. Ties route the
         # gradient to every maximal element, matching subgradient semantics.
         mask = reshaped == out[:, :, :, :, None, :, None]
@@ -209,8 +216,12 @@ class MaxPool2d(Module):
             raise RuntimeError("backward called before forward")
         x_shape, mask = self._cache
         grad_out = _lift(self, grad_output)
-        counts = mask.sum(axis=(4, 6), keepdims=True)
-        grad = (mask / counts) * grad_out[:, :, :, :, None, :, None]
+        k = self.kernel_size
+        # Integer counts, so mask / counts promotes as a mask.sum would.
+        counts = mask[:, :, :, :, 0, :, 0].astype(np.int_)
+        for a, b in list(np.ndindex(k, k))[1:]:
+            counts += mask[:, :, :, :, a, :, b]
+        grad = (mask / counts[:, :, :, :, None, :, None]) * grad_out[:, :, :, :, None, :, None]
         return _drop(self, grad.reshape(x_shape))
 
 

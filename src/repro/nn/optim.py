@@ -94,6 +94,8 @@ class Adam(Optimizer):
         self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        # Two scratch tensors per parameter: the step allocates nothing.
+        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
         self._t = 0
 
     def step(self) -> None:
@@ -101,14 +103,24 @@ class Adam(Optimizer):
         bias_c1 = 1.0 - self.beta1**self._t
         bias_c2 = 1.0 - self.beta2**self._t
         for idx, p in enumerate(self.params):
+            m, v = self._m[idx], self._v[idx]
+            s1, s2 = self._scratch[idx]
             grad = p.grad
             if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * p.data
-            m, v = self._m[idx], self._v[idx]
+                grad = np.multiply(self.weight_decay, p.data, out=s1)
+                grad += p.grad
+            # In-place form of
+            #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+            #   data -= (lr * (m/bc1)) / (sqrt(v/bc2) + eps)
+            # with every operation in that order, so the result is
+            # bit-identical to evaluating those expressions out of place.
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(1.0 - self.beta1, grad, out=s2)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias_c1
-            v_hat = v / bias_c2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += np.multiply(np.multiply(1.0 - self.beta2, grad, out=s2), grad, out=s2)
+            m_hat = np.divide(m, bias_c1, out=s1)
+            denom = np.sqrt(np.divide(v, bias_c2, out=s2), out=s2)
+            denom += self.eps
+            m_hat *= self.lr
+            m_hat /= denom
+            p.data -= m_hat

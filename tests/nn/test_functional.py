@@ -70,6 +70,18 @@ class TestCol2im:
         assert img[0, 0, 1, 1] == 4.0
         assert img[0, 0, 0, 0] == 1.0
 
+    def test_rejects_mis_shaped_columns(self):
+        # One column per sample where 16 locations are expected: a
+        # broadcasting scatter would smear it over every location.
+        with pytest.raises(ValueError, match=r"\(9, 32\).*got \(9, 2\)"):
+            F.col2im(np.ones((9, 2)), (2, 1, 4, 4), 3, 3, padding=1)
+        with pytest.raises(ValueError, match=r"got \(32, 9\)"):
+            F.col2im(np.ones((32, 9)), (2, 1, 4, 4), 3, 3, padding=1)
+
+    def test_invalid_geometry_raises(self):
+        with pytest.raises(ValueError, match="non-positive"):
+            F.col2im(np.zeros((25, 1)), (1, 1, 2, 2), 5, 5)
+
 
 class TestSoftmax:
     def test_rows_sum_to_one(self, rng):
